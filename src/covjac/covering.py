@@ -15,7 +15,6 @@ exact finite data that the Fitting ideal machinery can consume.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -106,11 +105,6 @@ class VoltageGraph:
         return cls(base, group, volts)
 
 
-def voltage_graph_from_file(path: str) -> VoltageGraph:
-    with open(path) as fh:
-        return VoltageGraph.from_json(json.load(fh))
-
-
 @dataclass
 class DerivedCover:
     """Derived graph plus the left deck action as permutations.
@@ -158,29 +152,29 @@ def derived_graph(vg: VoltageGraph) -> DerivedCover:
 def spanning_tree_potentials(base: Graph):
     """Breadth-first spanning tree from vertex 0.
 
-    Returns (parent_dart, non_tree_edges): the dart entering each
-    nonroot vertex from its parent, and the edge indices left out of
-    the tree.
+    Returns (order, parent_dart, non_tree_edges): the vertices in
+    breadth-first order, so that each parent comes before its children,
+    the dart entering each nonroot vertex from its parent, and the edge
+    indices left out of the tree.
     """
     n = base.vertex_count
     parent_dart = [None] * n
     seen = [False] * n
     seen[0] = True
-    queue = [0]
+    order = [0]
     tree_edges = set()
-    while queue:
-        v = queue.pop(0)
+    for v in order:
         for did in base.out_darts(v):
             d = base.darts[did]
             if not seen[d.dst]:
                 seen[d.dst] = True
                 parent_dart[d.dst] = did
                 tree_edges.add(base.edge_of_dart(did)[0])
-                queue.append(d.dst)
+                order.append(d.dst)
     if not all(seen):
         raise DisconnectedGraphError("base graph is not connected")
     non_tree = [i for i in range(base.edge_count) if i not in tree_edges]
-    return parent_dart, non_tree
+    return order, parent_dart, non_tree
 
 
 def cycle_voltages(vg: VoltageGraph) -> list[int]:
@@ -193,23 +187,19 @@ def cycle_voltages(vg: VoltageGraph) -> list[int]:
     """
     base = vg.base
     grp = vg.group
-    parent_dart, non_tree = spanning_tree_potentials(base)
-    beta = [None] * base.vertex_count
-    beta[0] = grp.identity
-
-    def potential(v):
-        if beta[v] is None:
-            d = base.darts[parent_dart[v]]
-            beta[v] = grp.mul(potential(d.src), vg.dart_voltage(d.id))
-        return beta[v]
+    order, parent_dart, non_tree = spanning_tree_potentials(base)
+    beta = [grp.identity] * base.vertex_count
+    for v in order[1:]:
+        d = base.darts[parent_dart[v]]
+        beta[v] = grp.mul(beta[d.src], vg.dart_voltage(d.id))
 
     out = []
     for eidx in non_tree:
         did = base.edges()[eidx]
         d = base.darts[did]
         g = grp.mul(
-            grp.mul(potential(d.src), vg.dart_voltage(did)),
-            grp.inv(potential(d.dst)),
+            grp.mul(beta[d.src], vg.dart_voltage(did)),
+            grp.inv(beta[d.dst]),
         )
         out.append(g)
     return out

@@ -29,7 +29,6 @@ from .groupring import (
     IdealLattice,
     cyclic_norm,
     cyclic_norm_of,
-    derivative_element,
     derivative_of,
     det_group_ring,
     gen_minus_one,

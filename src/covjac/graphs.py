@@ -112,13 +112,6 @@ def adjacency(g: Graph) -> list[list[int]]:
     return a
 
 
-def degree_matrix(g: Graph) -> list[list[int]]:
-    m = [[0] * g.vertex_count for _ in range(g.vertex_count)]
-    for v in range(g.vertex_count):
-        m[v][v] = g.degree(v)
-    return m
-
-
 def laplacian(g: Graph) -> list[list[int]]:
     """Degree matrix minus adjacency; loops cancel out."""
     lap = [[0] * g.vertex_count for _ in range(g.vertex_count)]

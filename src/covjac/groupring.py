@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import product
 
 from .errors import RingMismatchError
 from .intlinalg import hermite_row_basis, lattice_contains
@@ -125,10 +124,6 @@ class FinAbGroup:
 
     def __repr__(self):
         return f"FinAbGroup{self.orders}"
-
-
-def make_group(orders) -> FinAbGroup:
-    return FinAbGroup(orders)
 
 
 class CayleyGroup:
@@ -402,11 +397,6 @@ def cyclic_norm(group: FinAbGroup, l: int) -> GroupRingElement:
 
 def derivative_element(group: FinAbGroup, l: int) -> GroupRingElement:
     return derivative_of(group, group.generator(l), group.orders[l])
-
-
-def special_elements(group: FinAbGroup, l: int):
-    """The triple (generator offset, cyclic norm, weighted derivative)."""
-    return gen_minus_one(group, l), cyclic_norm(group, l), derivative_element(group, l)
 
 
 def norm_element(group: FinAbGroup) -> GroupRingElement:

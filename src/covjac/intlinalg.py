@@ -17,10 +17,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def copy_matrix(a) -> list[list[int]]:
-    return [list(row) for row in a]
-
-
 def transpose(a) -> list[list[int]]:
     return [list(col) for col in zip(*a)] if a else []
 
@@ -28,10 +24,6 @@ def transpose(a) -> list[list[int]]:
 def matmul(a, b) -> list[list[int]]:
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a, v) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -22,11 +22,10 @@ from math import comb
 
 from .covering import (
     VoltageGraph,
-    cycle_voltages,
     derived_graph,
     spanning_tree_potentials,
 )
-from .errors import DisconnectedGraphError, ResourceLimitError
+from .errors import DisconnectedGraphError
 from .fitting import Poly, det_generic
 from .graphs import (
     Graph,
@@ -137,21 +136,17 @@ def tower_cycle_voltages(zvg: ZpVoltageGraph) -> list[int]:
     """Integer voltages of a fundamental cycle basis: spanning-tree
     potential difference plus the non-tree dart voltage."""
     base = zvg.base
-    parent_dart, non_tree = spanning_tree_potentials(base)
-    beta = [None] * base.vertex_count
-    beta[0] = 0
-
-    def potential(v):
-        if beta[v] is None:
-            d = base.darts[parent_dart[v]]
-            beta[v] = potential(d.src) + zvg.dart_voltage(d.id)
-        return beta[v]
+    order, parent_dart, non_tree = spanning_tree_potentials(base)
+    beta = [0] * base.vertex_count
+    for v in order[1:]:
+        d = base.darts[parent_dart[v]]
+        beta[v] = beta[d.src] + zvg.dart_voltage(d.id)
 
     out = []
     for eidx in non_tree:
         did = base.edges()[eidx]
         d = base.darts[did]
-        out.append(potential(d.src) + zvg.dart_voltage(did) - potential(d.dst))
+        out.append(beta[d.src] + zvg.dart_voltage(did) - beta[d.dst])
     return out
 
 
@@ -381,7 +376,10 @@ def verify_icnf(zvg: ZpVoltageGraph, n_max: int,
     """Compare the layer-count fit against the Weierstrass invariants of
     the determinant series divided by T.  The series is the authority; a
     mismatch fails the report outright.  Fit instability is reported,
-    not raised."""
+    not raised; a window of fewer than four layers (0..n_max) is
+    rejected as bad input."""
+    if n_max < 3:
+        raise ValueError("need at least four layers to fit: n_max must be at least 3")
     if zvg.kida_group is not None:
         zvg = zvg.without_finite_layer()
     series = z_power_series(zvg)

@@ -15,11 +15,9 @@ from .covering import (
     VoltageGraph,
     connectivity_criterion,
     dual_module,
-    jacobian_module,
     norm_kernel,
     picard_and_jacobian,
     quotient_by_norm,
-    rbar_pic_order,
     sequence_cardinality_check,
     z_element,
 )

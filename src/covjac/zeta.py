@@ -11,11 +11,13 @@ comparisons happen modulo u^(L+1) with exact integer coefficients.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 from .errors import ResourceLimitError, RingMismatchError
 from .fitting import det_generic
 from .groupring import (
     R,
-    FinAbGroup,
     GroupRingElement,
     group_element,
     one,
@@ -204,17 +206,51 @@ def zeta_polynomial(vg) -> GroupRingPoly:
 # Closed-path enumeration
 
 
-def _rotations(seq):
-    n = len(seq)
-    return [seq[k:] + seq[:k] for k in range(n)]
+def _lyndon_closed_paths(vg, L: int):
+    """Yield (darts, monodromy) for each Lyndon word of length at most L
+    that is a closed non-backtracking tailless dart sequence.
 
-
-def _is_primitive(seq) -> bool:
-    n = len(seq)
-    for d in range(1, n):
-        if n % d == 0 and seq == seq[d:] + seq[:d]:
-            return False
-    return True
+    A depth-first search over non-backtracking paths that keeps only
+    prenecklaces (Duval 1983; Fredricksen-Kessler-Maiorana): a prefix of
+    period p is extended only by darts at least seq[n - p], and the
+    period becomes the new length when the dart is strictly larger.  A
+    prefix is a Lyndon word exactly when its period is its length.  The
+    voltage product is carried along the search.
+    """
+    if L < 1:
+        return
+    base = vg.base
+    darts = base.darts
+    mul = vg.group.mul
+    volt = [vg.dart_voltage(did) for did in range(len(darts))]
+    # continuations of each dart, reversed so the stack pops them in order
+    follow = [
+        tuple(reversed([f for f in base.out_darts(d.dst) if f != d.partner]))
+        for d in darts
+    ]
+    budget = ENUM_NODE_BUDGET
+    seq = []
+    for start in range(len(darts)):
+        head = darts[start].src
+        # pending prefixes as (length, last dart, period, monodromy)
+        stack = [(1, start, 1, volt[start])]
+        while stack:
+            n, did, p, g = stack.pop()
+            budget -= 1
+            if budget < 0:
+                raise ResourceLimitError("closed path enumeration budget exhausted")
+            del seq[n - 1:]
+            seq.append(did)
+            last = darts[did]
+            if p == n and last.dst == head and last.partner != start:
+                yield tuple(seq), g
+            if n < L:
+                floor = seq[n - p]
+                for f in follow[did]:
+                    if f > floor:
+                        stack.append((n + 1, f, n + 1, mul(g, volt[f])))
+                    elif f == floor:
+                        stack.append((n + 1, f, p, mul(g, volt[f])))
 
 
 def primitive_rotation_classes(vg, L: int):
@@ -225,54 +261,35 @@ def primitive_rotation_classes(vg, L: int):
     tail and never immediately reversed; closure chains the last dart to
     the first, and taillessness forbids the last dart being the reverse
     of the first.  The canonical representative is the lexicographically
-    least rotation, so the search only extends sequences whose darts all
-    carry ids at least the starting dart's.  Returns (darts, monodromy)
-    pairs with the voltage product taken along the sequence.
+    least rotation, which for a primitive sequence is its Lyndon word.
+    Returns (darts, monodromy) pairs with the voltage product taken
+    along the sequence.
     """
-    base = vg.base
-    grp = vg.group
-    darts = base.darts
-    out = []
-    budget = [ENUM_NODE_BUDGET]
-
-    def extend(seq):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ResourceLimitError("closed path enumeration budget exhausted")
-        n = len(seq)
-        last = darts[seq[-1]]
-        if last.dst == darts[seq[0]].src and last.partner != seq[0]:
-            if _is_primitive(seq) and seq == min(_rotations(seq)):
-                g = grp.identity
-                for did in seq:
-                    g = grp.mul(g, vg.dart_voltage(did))
-                out.append((tuple(seq), g))
-        if n == L:
-            return
-        for nid in base.out_darts(last.dst):
-            if nid >= seq[0] and nid != last.partner:
-                extend(seq + [nid])
-
-    for start in range(len(darts)):
-        extend([start])
-    return out
+    return list(_lyndon_closed_paths(vg, L))
 
 
 def euler_product_truncation(vg, L: int) -> GroupRingPoly:
     """The zeta series itself, truncated: the product over rotation
     classes of geometric series in the class monodromy.  Classes longer
-    than L cannot contribute below u^(L+1)."""
+    than L cannot contribute below u^(L+1).
+
+    Classes are counted per (length n, monodromy g) as they stream out
+    of the enumeration, and the c classes of one pair contribute the
+    single factor (1 - g u^n)^(-c) = sum over k of C(c+k-1, k) g^k u^(nk).
+    """
+    if L < 0:
+        raise ValueError(f"truncation {L} is negative")
     if L > MAX_TRUNCATION:
         raise ResourceLimitError(f"truncation {L} exceeds {MAX_TRUNCATION}")
     grp = vg.group
+    counts = Counter((len(seq), g) for seq, g in _lyndon_closed_paths(vg, L))
     series = GroupRingPoly.one(grp)
-    for seq, g in primitive_rotation_classes(vg, L):
-        n = len(seq)
+    for (n, g), c in sorted(counts.items()):
         coeffs = [zero(grp, R) for _ in range(L + 1)]
-        k = 0
-        while k * n <= L:
-            coeffs[k * n] = group_element(grp, grp.power(g, k), R)
-            k += 1
+        for k in range(L // n + 1):
+            coeffs[k * n] = math.comb(c + k - 1, k) * group_element(
+                grp, grp.power(g, k), R
+            )
         series = series.mul(GroupRingPoly(grp, R, coeffs), trunc=L)
     return series
 

@@ -51,6 +51,20 @@ def test_derive_report(tmp_path, capsys):
     assert rep["cover"]["vertices"] == 9
 
 
+def test_derive_deep_tree(tmp_path, capsys):
+    # a 1500-vertex path with a loop at its far end, C2 voltages
+    n = 1500
+    edges = [{"u": v, "v": v + 1} for v in range(n - 1)] + [{"u": n - 1, "v": n - 1}]
+    cover = {"graph": {"vertices": n, "edges": edges}, "group": {"orders": [2]},
+             "voltages": [[0]] * (n - 1) + [[1]]}
+    path = write(tmp_path, "path.json", cover)
+    code, out, err = run(capsys, ["derive", path])
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["connected"] is True
+    assert rep["cover"]["vertices"] == 2 * n
+
+
 def test_verify_main_pass(tmp_path, capsys):
     path = write(tmp_path, "c.json", C3_COVER)
     code, out, err = run(capsys, ["verify-main", path])
@@ -133,6 +147,19 @@ def test_iwasawa_cli(tmp_path, capsys):
     path2 = write(tmp_path, "bare.json", bare)
     code, _, _ = run(capsys, ["iwasawa", path2])
     assert code == 2
+
+
+def test_iwasawa_short_window_exits_2(tmp_path, capsys):
+    # layers 0..2 are too few to fit: bad input, not a failed verification
+    path = write(tmp_path, "t.json", TOWER)
+    code, out, err = run(capsys, ["iwasawa", path, "--layers", "2"])
+    assert code == 2
+    assert out == ""
+    assert "four layers" in err
+    path = write(tmp_path, "k.json", KIDA)
+    code, out, err = run(capsys, ["kida", path, "--layers", "2"])
+    assert code == 2
+    assert out == ""
 
 
 def test_kida_cli(tmp_path, capsys):

@@ -137,6 +137,16 @@ def test_cycle_voltages_span_image():
     assert cycles[0] in (2, 4)  # the triangle voltage sum, up to inversion
 
 
+def test_cycle_voltages_deep_tree():
+    # a 1500-vertex path with a loop at its far end: the tree potentials
+    # run 1500 levels deep, past the interpreter's recursion limit
+    n = 1500
+    path = build_graph(n, [(v, v + 1) for v in range(n - 1)] + [(n - 1, n - 1)])
+    vg = VoltageGraph(path, FinAbGroup((2,)), [1] * (n - 1) + [1])
+    assert cycle_voltages(vg) == [1]
+    assert connectivity_criterion(vg)
+
+
 def test_equivariant_laplacian_identifies_with_cover():
     """Entry (v, w) collects the derived Laplacian row of (identity, v)
     against the fiber of w."""

@@ -59,6 +59,15 @@ def test_connectivity_criterion():
     assert tower_cycle_voltages(standard_tower()) == [1, 0]
 
 
+def test_tower_cycle_voltages_deep_tree():
+    # tree potentials 1500 levels deep, past the recursion limit
+    n = 1500
+    path = build_graph(n, [(v, v + 1) for v in range(n - 1)] + [(n - 1, n - 1)])
+    zvg = ZpVoltageGraph(path, 2, [1] * (n - 1) + [3])
+    assert tower_cycle_voltages(zvg) == [3]
+    assert tower_connectivity(zvg)
+
+
 def test_layer_orders_standard():
     vals, truncated = layer_orders(standard_tower(), 6)
     assert vals == [0, 1, 2, 3, 4, 5, 6]
@@ -133,12 +142,12 @@ def test_icnf_positive_mu():
     assert rep.layer_valuations == [0, 2, 5, 10, 19, 36, 69]
 
 
-def test_icnf_short_window_reported():
-    # three layers cannot be fitted; the report carries the note
-    rep = verify_icnf(standard_tower(), 2)
-    assert not rep.passed
-    assert rep.fitted is None
-    assert "layers" in rep.note
+def test_icnf_short_window_rejected():
+    # three layers (0..2) cannot be fitted: bad input, not a failed tower
+    with pytest.raises(ValueError, match="four layers"):
+        verify_icnf(standard_tower(), 2)
+    with pytest.raises(ValueError, match="four layers"):
+        verify_kida(ZpVoltageGraph(BOUQUET2, 2, (0, 1), FinAbGroup((2,)), (1, 0)), 2)
 
 
 def test_json_roundtrip():

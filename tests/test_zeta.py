@@ -26,6 +26,8 @@ from covjac.zeta import (
 THETA = build_graph(2, [(0, 1), (1, 1), (0, 1)])
 K4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 BOUQUET1 = build_graph(1, [(0, 0)])
+BOUQUET2 = build_graph(1, [(0, 0)] * 2)
+BOUQUET3 = build_graph(1, [(0, 0)] * 3)
 
 
 def trivial_vg(graph):
@@ -147,6 +149,89 @@ def test_truncation_cap():
         euler_product_truncation(vg, MAX_TRUNCATION + 1)
     with pytest.raises(ResourceLimitError):
         edge_matrix_zeta(vg, MAX_TRUNCATION + 1)
+    with pytest.raises(ValueError):
+        euler_product_truncation(vg, -1)
+    assert primitive_rotation_classes(vg, 0) == []
+    assert euler_product_truncation(vg, 0) == GroupRingPoly.one(vg.group)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force reference for the closed-path side
+
+
+def _rotations(seq):
+    n = len(seq)
+    return [seq[k:] + seq[:k] for k in range(n)]
+
+
+def _is_primitive(seq) -> bool:
+    n = len(seq)
+    for d in range(1, n):
+        if n % d == 0 and seq == seq[d:] + seq[:d]:
+            return False
+    return True
+
+
+def brute_force_classes(vg, L):
+    """Every closed non-backtracking tailless dart sequence of length at
+    most L, kept when primitive and equal to its least rotation, with
+    its voltage product."""
+    base = vg.base
+    darts = base.darts
+    grp = vg.group
+    out = set()
+    paths = [[d] for d in range(len(darts))]
+    while paths:
+        seq = paths.pop()
+        last, first = darts[seq[-1]], darts[seq[0]]
+        if last.dst == first.src and last.partner != first.id:
+            if _is_primitive(seq) and seq == min(_rotations(seq)):
+                g = grp.identity
+                for did in seq:
+                    g = grp.mul(g, vg.dart_voltage(did))
+                out.add((tuple(seq), g))
+        if len(seq) < L:
+            for nid in base.out_darts(last.dst):
+                if nid != last.partner:
+                    paths.append(seq + [nid])
+    return out
+
+
+def per_class_product(vg, classes, L):
+    """The Euler product with one geometric series per class."""
+    grp = vg.group
+    series = GroupRingPoly.one(grp)
+    for seq, g in classes:
+        n = len(seq)
+        coeffs = [zero(grp) for _ in range(L + 1)]
+        for k in range(L // n + 1):
+            coeffs[k * n] = group_element(grp, grp.power(g, k))
+        series = series.mul(GroupRingPoly(grp, "R", coeffs), trunc=L)
+    return series
+
+
+BRUTE_FORCE_CASES = [
+    pytest.param(THETA, (2, 2), (3, 2, 0), 8, id="theta-c2xc2"),
+    pytest.param(THETA, (4,), (1, 1, 2), 8, id="theta-c4"),
+    pytest.param(K4, (2,), (1, 0, 0, 0, 1, 1), 8, id="k4-c2"),
+    pytest.param(K4, (2, 2), (1, 2, 3, 0, 0, 1), 8, id="k4-c2xc2"),
+    pytest.param(BOUQUET1, (4,), (1,), 8, id="bouquet1-c4"),
+    pytest.param(BOUQUET2, (2,), (1, 0), 8, id="bouquet2-c2"),
+    pytest.param(BOUQUET2, (2, 2), (1, 2), 8, id="bouquet2-c2xc2"),
+    pytest.param(BOUQUET3, (4,), (1, 2, 3), 7, id="bouquet3-c4"),
+    pytest.param(BOUQUET3, (2, 2), (1, 2, 3), 6, id="bouquet3-c2xc2"),
+]
+
+
+@pytest.mark.parametrize("graph,orders,voltages,L", BRUTE_FORCE_CASES)
+def test_classes_match_brute_force(graph, orders, voltages, L):
+    vg = VoltageGraph(graph, FinAbGroup(orders), voltages)
+    expected = brute_force_classes(vg, L)
+    for cap in range(1, L + 1):
+        got = primitive_rotation_classes(vg, cap)
+        assert len(got) == len(set(got))
+        assert set(got) == {c for c in expected if len(c[0]) <= cap}
+    assert euler_product_truncation(vg, L) == per_class_product(vg, expected, L)
 
 
 def test_enumeration_budget(monkeypatch):
