@@ -33,6 +33,7 @@ from .groupring import (
     det_group_ring,
     gen_minus_one,
     integer_multiple,
+    nonzero_minors,
     norm_element,
     norm_scaled_derivative,
     offset_of,
@@ -141,29 +142,8 @@ class Poly:
 
 
 def det_generic(rows, zero_elt, one_elt):
-    """Determinant over any commutative ring via subset-sum expansion."""
-    n = len(rows)
-    if n == 0:
-        return one_elt
-    prev = {0: one_elt}
-    for row in rows:
-        cur: dict = {}
-        for mask, val in prev.items():
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                e = row[j]
-                if not e:
-                    continue
-                sign = bin(mask >> (j + 1)).count("1") & 1
-                term = val * e
-                if sign:
-                    term = -term
-                acc = cur.get(mask | bit)
-                cur[mask | bit] = term if acc is None else acc + term
-        prev = cur
-    return prev.get((1 << n) - 1, zero_elt)
+    """Determinant over any commutative ring: the one n x n minor."""
+    return next(nonzero_minors(rows, len(rows), one_elt), zero_elt)
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +338,7 @@ def fitting_ideal_poly(pm: PresentationMatrix, i: int,
     n_minors = math.comb(pm.num_rows, size) * math.comb(k, size)
     if n_minors > minor_cap:
         raise ResourceLimitError(f"minor count {n_minors} exceeds cap")
-    z = Poly.const(pm.nvars, 0)
-    o = Poly.const(pm.nvars, 1)
-    out = set()
-    for rsel in combinations(range(pm.num_rows), size):
-        for csel in combinations(range(k), size):
-            sub = [[pm.rows[r][c] for c in csel] for r in rsel]
-            d = det_generic(sub, z, o)
-            if d:
-                out.add(d)
-    return out
+    return set(nonzero_minors(pm.rows, size, Poly.const(pm.nvars, 1)))
 
 
 def pair_fitting_matches_power(s: int, i: int) -> bool:
@@ -428,13 +399,7 @@ def fitting_ideal_group_ring(rows, num_cols: int, i: int, group: FinAbGroup,
     n_minors = math.comb(len(rows), size) * math.comb(num_cols, size)
     if n_minors > minor_cap:
         raise ResourceLimitError(f"minor count {n_minors} exceeds cap {minor_cap}")
-    gens = []
-    for rsel in combinations(range(len(rows)), size):
-        for csel in combinations(range(num_cols), size):
-            sub = [[rows[r][c] for c in csel] for r in rsel]
-            d = det_group_ring(sub)
-            if d:
-                gens.append(d)
+    gens = list(nonzero_minors(rows, size, one(group, ring)))
     if not gens:
         return IdealLattice.zero_ideal(group, ring)
     return IdealLattice.from_generators(gens)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 from .errors import DisconnectedGraphError
@@ -171,71 +170,14 @@ class AbelianGroupStructure:
         return math.prod(self.invariant_factors)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
-def _tree_count_enumeration(g: Graph) -> int:
-    n = g.vertex_count
-    if n == 1:
-        return 1
-    plain = [d for d in g.edges() if g.darts[d].src != g.darts[d].dst]
-    if len(plain) < n - 1:
-        return 0
-    count = 0
-    for subset in combinations(plain, n - 1):
-        uf = _UnionFind(n)
-        ok = True
-        for d in subset:
-            if not uf.union(g.darts[d].src, g.darts[d].dst):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
-
-
-def _tree_count_determinant(g: Graph) -> int:
-    n = g.vertex_count
-    if n == 1:
-        return 1
-    lap = laplacian(g)
-    minor = [row[1:] for row in lap[1:]]
-    return det_exact(minor)
-
-
 def spanning_tree_count(g: Graph) -> int:
-    """Number of spanning trees of a connected multigraph.
-
-    Small graphs are counted twice, by subset enumeration and by a
-    principal minor of the Laplacian, and the results are required to
-    agree; larger graphs use the determinant alone.
-    """
+    """Number of spanning trees of a connected multigraph: a principal
+    minor of the Laplacian (matrix-tree theorem)."""
     if not is_connected(g):
         raise DisconnectedGraphError("spanning trees require a connected graph")
-    by_det = _tree_count_determinant(g)
-    if g.edge_count <= 16:
-        by_enum = _tree_count_enumeration(g)
-        if by_enum != by_det:
-            raise RuntimeError(
-                f"tree count mismatch: enumeration {by_enum} vs determinant {by_det}"
-            )
-    return by_det
+    if g.vertex_count == 1:
+        return 1
+    return det_exact([row[1:] for row in laplacian(g)[1:]])
 
 
 def jacobian(g: Graph) -> AbelianGroupStructure:

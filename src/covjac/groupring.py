@@ -17,13 +17,14 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import RingMismatchError
+from .errors import ResourceLimitError, RingMismatchError
 from .intlinalg import hermite_row_basis, lattice_contains
 
 R = "R"
 RBAR = "Rbar"
 
 _MUL_TABLE_LIMIT = 256
+MINOR_STATE_BUDGET = 1 << 13  # every determinant up to 13 x 13 fits
 
 
 class FinAbGroup:
@@ -445,27 +446,55 @@ def validate_decomposition(group: FinAbGroup, gen_indices, orders) -> bool:
 # Determinants over the group ring
 
 
-def _det_subsets(rows, zero_elt, one_elt):
-    n = len(rows)
-    prev = {0: one_elt}
-    for row in rows:
-        cur: dict[int, GroupRingElement] = {}
-        for mask, val in prev.items():
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                e = row[j]
-                if not e:
-                    continue
-                sign = bin(mask >> (j + 1)).count("1") & 1
-                term = val * e
-                if sign:
-                    term = -term
-                acc = cur.get(mask | bit)
-                cur[mask | bit] = term if acc is None else acc + term
-        prev = cur
-    return prev.get((1 << n) - 1, zero_elt)
+def nonzero_minors(rows, k: int, one_elt):
+    """Yield every nonzero k x k minor of a matrix over a commutative ring.
+
+    Entries need only ``*``, ``+``, unary ``-`` and ``bool`` (false
+    exactly on the ring's zero).  A depth-first walk over ascending row
+    subsets carries, for the rows chosen so far, the table column mask ->
+    minor on those rows and columns; a child extends its parent's table
+    by one row, so row subsets with a common prefix share that work.  A
+    node whose minors all vanish is dropped with its subtree, since by
+    Laplace expansion along its rows every minor below it vanishes too.
+    At depth k the table holds the nonzero minors on every column subset.
+
+    Raises ResourceLimitError once the tables along the walk hold more
+    than MINOR_STATE_BUDGET partial minors.
+    """
+    if k == 0:
+        yield one_elt
+        return
+    nrows = len(rows)
+    entries = [[(1 << j, e, -e) for j, e in enumerate(row) if e] for row in rows]
+    held = 0
+
+    def walk(table, start, depth):
+        nonlocal held
+        for r in range(start, nrows - k + depth + 1):
+            cur: dict = {}
+            for mask, val in table.items():
+                for bit, e, neg in entries[r]:
+                    if mask & bit:
+                        continue
+                    # the sign counts chosen columns right of this one
+                    term = val * (neg if (mask // bit).bit_count() & 1 else e)
+                    acc = cur.get(mask | bit)
+                    cur[mask | bit] = term if acc is None else acc + term
+            cur = {m: v for m, v in cur.items() if v}
+            if not cur:
+                continue
+            if held + len(cur) > MINOR_STATE_BUDGET:
+                raise ResourceLimitError(
+                    f"partial minors exceed the budget of {MINOR_STATE_BUDGET}"
+                )
+            if depth + 1 == k:
+                yield from cur.values()
+            else:
+                held += len(cur)
+                yield from walk(cur, r + 1, depth + 1)
+                held -= len(cur)
+
+    yield from walk({0: one_elt}, 0, 0)
 
 
 def _det_berkowitz(rows, zero_elt, one_elt):
@@ -516,10 +545,10 @@ def _sum_elements(elts, zero_elt):
 def det_group_ring(rows) -> GroupRingElement:
     """Exact determinant of a square matrix over the group ring.
 
-    Sizes up to 10 use a subset-sum expansion (division-free, exponential
-    but cheap at this scale); larger sizes switch to the Berkowitz
-    recursion, which stays polynomial and never divides, so zero divisors
-    in the quotient ring are harmless.
+    Sizes up to 10 use the subset-sum expansion of ``nonzero_minors``
+    (division-free, exponential but cheap at this scale); larger sizes
+    switch to the Berkowitz recursion, which stays polynomial and never
+    divides, so zero divisors in the quotient ring are harmless.
     """
     n = len(rows)
     if n == 0:
@@ -534,7 +563,7 @@ def det_group_ring(rows) -> GroupRingElement:
                 raise RingMismatchError("matrix entries must share one ring")
     z, o = zero(g, ring), one(g, ring)
     if n <= 10:
-        return _det_subsets(rows, z, o)
+        return next(nonzero_minors(rows, n, o), z)
     return _det_berkowitz(rows, z, o)
 
 
@@ -609,20 +638,29 @@ class IdealLattice:
 
     @classmethod
     def from_generators(cls, gens, denominator=1, group=None, ring=None):
-        """Smallest fractional ideal containing gens / denominator."""
+        """Smallest fractional ideal containing gens / denominator.
+
+        The Hermite basis grows one generator at a time, by the
+        generator's translates.  A generator already in the lattice is
+        skipped: the lattice is spanned by whole orbits, so it is stable
+        under the group and holds the translates too.
+        """
         gens = list(gens)
         if gens:
             group = gens[0].group
             ring = gens[0].ring
         if group is None or ring is None:
             raise ValueError("empty generator list needs explicit group and ring")
-        rows = []
+        dim = group.size - 1 if ring == RBAR else group.size
+        basis: list = []
         for x in gens:
             if x.group != group or x.ring != ring:
                 raise RingMismatchError("generators must share one ring")
-            for gi in group.elements():
-                rows.append(x.translate(gi).coordinates())
-        return cls(group, ring, rows, denominator)
+            if lattice_contains(basis, x.coordinates()):
+                continue
+            orbit = [x.translate(gi).coordinates() for gi in group.elements()]
+            basis = hermite_row_basis(basis + orbit, dim)
+        return cls(group, ring, basis, denominator, _canonical=True)
 
     @classmethod
     def zero_ideal(cls, group, ring=R):

@@ -459,6 +459,24 @@ def default_window(zvg: ZpVoltageGraph, vertex_cap: int = VERTEX_CAP) -> int:
     return n
 
 
+def _checked_window(zvg: ZpVoltageGraph, vertex_cap: int) -> int:
+    """The default window, refused when its last three layers cannot yet
+    follow the growth formula: that needs p^(n-2)(p-1) > lambda, with
+    lambda read from the series before any layer is built."""
+    n = default_window(zvg, vertex_cap)
+    p = zvg.prime
+    _, lam = weierstrass_invariants(z_power_series(zvg).divided_by_variable())
+    need = 3
+    while p ** (need - 2) * (p - 1) <= lam:
+        need += 1
+    if n < need:
+        raise ValueError(
+            f"lambda = {lam} needs layers up to n = {need}; the default window "
+            f"stops at n = {n} (vertex cap {vertex_cap})"
+        )
+    return n
+
+
 def verify_kida(zvg: ZpVoltageGraph, n_max: int | None = None,
                 vertex_cap: int = VERTEX_CAP) -> dict:
     """Run both towers and compare invariants: mu vanishes together on
@@ -470,9 +488,9 @@ def verify_kida(zvg: ZpVoltageGraph, n_max: int | None = None,
     if not _is_p_group(zvg.kida_group, zvg.prime):
         raise ValueError("finite layer must be a p-group for the lifted tower")
     lifted = kida_lifted_tower(zvg)
-    base_n = n_max if n_max is not None else default_window(
+    base_n = n_max if n_max is not None else _checked_window(
         zvg.without_finite_layer(), vertex_cap)
-    lift_n = n_max if n_max is not None else default_window(lifted, vertex_cap)
+    lift_n = n_max if n_max is not None else _checked_window(lifted, vertex_cap)
     base_rep = verify_icnf(zvg.without_finite_layer(), base_n, vertex_cap)
     lift_rep = verify_icnf(lifted, lift_n, vertex_cap)
     details = {

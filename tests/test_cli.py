@@ -1,4 +1,6 @@
 import json
+import random
+import time
 
 import pytest
 
@@ -110,6 +112,39 @@ def test_resource_cap_exit_three(tmp_path, capsys):
     code, _, err = run(capsys, ["zeta", path, "--truncate", "13"])
     assert code == 3
     assert "resource cap" in err
+
+
+def test_zeta_dense_base_exit_three(tmp_path, capsys):
+    # complete graph on 18 vertices, random C3 voltages: the 18 x 18
+    # three-term determinant would hold far more partial minors than the
+    # engine's budget, and the CLI stops at the budget
+    rng = random.Random(18)
+    edges = [{"u": i, "v": j} for i in range(18) for j in range(i + 1, 18)]
+    cover = {"graph": {"vertices": 18, "edges": edges}, "group": {"orders": [3]},
+             "voltages": [[rng.randrange(3)] for _ in edges]}
+    path = write(tmp_path, "k18.json", cover)
+    t0 = time.time()
+    code, out, err = run(capsys, ["zeta", path])
+    assert code == 3
+    assert out == ""
+    assert "partial minors" in err
+    assert time.time() - t0 < 60
+
+
+def test_kida_window_too_short_exits_2(tmp_path, capsys):
+    # the lifted tower has lambda = 29; a stable fit needs layers up to
+    # n = 5 (1458 vertices), beyond the 600-vertex default window
+    tower = {"graph": {"vertices": 2, "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 0},
+                                                {"u": 0, "v": 0}]},
+             "prime": 3, "voltages": [1, -2, -8],
+             "kida": {"orders": [3], "voltages": [[0], [2], [0]]}}
+    path = write(tmp_path, "k.json", tower)
+    t0 = time.time()
+    code, out, err = run(capsys, ["kida", path])
+    assert code == 2
+    assert out == ""
+    assert "lambda = 29" in err and "n = 5" in err
+    assert time.time() - t0 < 30
 
 
 def test_zeta_pass(tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from covjac.covering import VoltageGraph, jacobian_module, quotient_by_norm
 from covjac.errors import ResourceLimitError, RingMismatchError
 from covjac.fitting import (
     Poly,
@@ -20,12 +21,15 @@ from covjac.fitting import (
     tree_cofactor,
     tree_law_report,
 )
+from covjac.graphs import build_graph
 from covjac.groupring import (
     R,
     RBAR,
     FinAbGroup,
     IdealLattice,
+    GroupRingElement,
     gen_minus_one,
+    group_element,
     integer_multiple,
     norm_element,
     one,
@@ -152,6 +156,50 @@ def test_fitting_minor_cap():
     rows = [[o] * 8 for _ in range(8)]
     with pytest.raises(ResourceLimitError):
         fitting_ideal_group_ring(rows, 8, 4, g, R, minor_cap=3)
+
+
+def _random_elementary_ops(rng, rows, group, ring, steps=8):
+    """Random elementary row and column operations over the ring: add a
+    multiple of one line to another, scale a line by a unit +-g, swap."""
+    rows = [list(r) for r in rows]
+    for _ in range(steps):
+        transpose = rng.random() < 0.5
+        m = [list(c) for c in zip(*rows)] if transpose else rows
+        i, j = rng.sample(range(len(m)), 2)
+        op = rng.randrange(3)
+        if op == 0:
+            a = GroupRingElement(group, [rng.randint(-2, 2) for _ in group.elements()],
+                                 ring)
+            m[i] = [x + a * y for x, y in zip(m[i], m[j])]
+        elif op == 1:
+            u = group_element(group, rng.randrange(group.size), ring)
+            u = -u if rng.random() < 0.5 else u
+            m[i] = [u * x for x in m[i]]
+        else:
+            m[i], m[j] = m[j], m[i]
+        rows = [list(r) for r in zip(*m)] if transpose else m
+    return rows
+
+
+THETA = build_graph(2, [(0, 1), (1, 1), (0, 1)])
+
+
+@pytest.mark.parametrize("orders,volts", [((4,), (1, 1, 2)), ((2, 2), (3, 2, 0)),
+                                          ((3,), (1, 2, 0))])
+def test_fitting_ideal_invariant_under_elementary_operations(orders, volts):
+    """Fitting ideals depend on the module, not on its presentation:
+    random invertible row and column operations leave them unchanged."""
+    rng = random.Random(f"elementary:{orders}")
+    g = FinAbGroup(orders)
+    jac = jacobian_module(VoltageGraph(THETA, g, volts))
+    for module, ring in ((jac, R), (quotient_by_norm(jac), RBAR)):
+        fitt = module_fitting_ideal(module, ring)
+        pres = present_module(module, ring)
+        first = fitting_ideal_group_ring(pres.rows, pres.num_gens, 1, g, ring)
+        for _ in range(4):
+            rows = _random_elementary_ops(rng, pres.rows, g, ring)
+            assert fitting_ideal_group_ring(rows, pres.num_gens, 0, g, ring) == fitt
+            assert fitting_ideal_group_ring(rows, pres.num_gens, 1, g, ring) == first
 
 
 def test_module_fitting_rejects_free_rank_in_quotient():

@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
+from covjac.covering import derived_graph
 from covjac.errors import DisconnectedGraphError
 from covjac.graphs import (
     Dart,
@@ -17,6 +19,7 @@ from covjac.graphs import (
     laplacian,
     spanning_tree_count,
 )
+from covjac.iwasawa import ZpVoltageGraph, layer_graph
 
 
 def random_connected_multigraph(rng, max_v=6, max_e=10):
@@ -125,3 +128,50 @@ def test_invariant_factors_against_sympy():
         nontrivial = tuple(x for x in diag if x not in (0, 1))
         assert nontrivial == jacobian(g).invariant_factors
         assert diag.count(0) == 1
+
+
+def _trees_by_enumeration(g):
+    """Spanning trees counted as the acyclic (n-1)-subsets of non-loop
+    edges, each tested with a union-find."""
+    n = g.vertex_count
+    plain = [(g.darts[d].src, g.darts[d].dst) for d in g.edges()
+             if g.darts[d].src != g.darts[d].dst]
+    count = 0
+    for subset in combinations(plain, n - 1):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        acyclic = True
+        for u, v in subset:
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                acyclic = False
+                break
+            parent[ru] = rv
+        count += acyclic
+    return count
+
+
+def test_tree_count_against_enumeration():
+    """The matrix-tree determinant against subset enumeration, on graphs
+    of at most 16 edges: random multigraphs, named graphs and the small
+    layers of two Z_p towers."""
+    rng = random.Random(2024)
+    graphs = [random_connected_multigraph(rng) for _ in range(40)]
+    graphs += [
+        build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        build_graph(5, [(i, (i + 1) % 5) for i in range(5)] + [(0, 2), (1, 1)]),
+        build_graph(1, [(0, 0), (0, 0)]),
+    ]
+    bouquet = build_graph(1, [(0, 0), (0, 0)])
+    theta = build_graph(2, [(0, 1), (0, 1), (0, 1)])
+    for zvg, depth in ((ZpVoltageGraph(bouquet, 2, (1, 0)), 3),
+                       (ZpVoltageGraph(theta, 3, (0, 1, 2)), 1)):
+        graphs += [derived_graph(layer_graph(zvg, n)).graph for n in range(depth + 1)]
+    for g in graphs:
+        assert g.edge_count <= 16
+        assert spanning_tree_count(g) == _trees_by_enumeration(g)

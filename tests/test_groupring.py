@@ -1,9 +1,12 @@
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 import sympy
 
-from covjac.errors import RingMismatchError
+import covjac.groupring as groupring
+from covjac.errors import ResourceLimitError, RingMismatchError
 from covjac.groupring import (
     R,
     RBAR,
@@ -21,11 +24,13 @@ from covjac.groupring import (
     group_element,
     integer_multiple,
     norm_element,
+    nonzero_minors,
     norm_scaled_derivative,
     one,
     validate_decomposition,
     zero,
 )
+from covjac.intlinalg import hermite_row_basis
 
 
 def random_element(rng, group, ring=R, bound=5):
@@ -198,6 +203,68 @@ def test_det_characters_diagonalize():
         assert abs(num - evaluate_at_character(d, chi)) < 1e-9
 
 
+def _cofactor_det(m, zero_elt, one_elt):
+    """Laplace expansion along the first row."""
+    if not m:
+        return one_elt
+    total = zero_elt
+    for j, e in enumerate(m[0]):
+        term = e * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]],
+                                 zero_elt, one_elt)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def _minors_by_cofactors(m, k, zero_elt, one_elt):
+    out = Counter()
+    for rsel in combinations(range(len(m)), k):
+        for csel in combinations(range(len(m[0])), k):
+            d = _cofactor_det([[m[r][c] for c in csel] for r in rsel],
+                              zero_elt, one_elt)
+            if d:
+                out[d] += 1
+    return out
+
+
+@pytest.mark.parametrize("orders,ring", [((4,), R), ((2, 2), R), ((2, 2), RBAR),
+                                         ((3,), RBAR)])
+def test_minor_engine_against_cofactors(orders, ring):
+    """Every nonzero k x k minor, as a multiset, for k below and equal to
+    the column count; some matrices lead with a zero row or with two
+    equal rows, so whole subtrees are pruned."""
+    rng = random.Random(f"minors:{orders}:{ring}")
+    g = FinAbGroup(orders)
+    z, o = zero(g, ring), one(g, ring)
+    for trial in range(6):
+        nrows, ncols = rng.randint(3, 5), rng.randint(2, 3)
+        m = [[random_element(rng, g, ring, bound=2) if rng.random() < 0.7 else z
+              for _ in range(ncols)] for _ in range(nrows)]
+        if trial % 3 == 1:
+            m[0] = [z] * ncols
+        elif trial % 3 == 2:
+            m[1] = list(m[0])
+        for k in range(1, ncols + 1):
+            got = Counter(nonzero_minors(m, k, o))
+            assert got == _minors_by_cofactors(m, k, z, o)
+    # a square matrix has the one minor, its determinant
+    m = [[random_element(rng, g, ring, bound=2) for _ in range(4)] for _ in range(4)]
+    assert list(nonzero_minors(m, 4, o)) == [_cofactor_det(m, z, o)]
+    assert list(nonzero_minors(m, 0, o)) == [o]
+
+
+def test_minor_engine_state_budget(monkeypatch):
+    """A dense n x n determinant holds 2^n - 1 partial minors along its
+    one path: at the budget it runs, one below it raises."""
+    rng = random.Random(15)
+    g = FinAbGroup((3,))
+    m = [[random_element(rng, g, bound=3) + 7 for _ in range(5)] for _ in range(5)]
+    monkeypatch.setattr(groupring, "MINOR_STATE_BUDGET", 31)
+    assert det_group_ring(m) == _cofactor_det(m, zero(g, R), one(g, R))
+    monkeypatch.setattr(groupring, "MINOR_STATE_BUDGET", 30)
+    with pytest.raises(ResourceLimitError):
+        det_group_ring(m)
+
+
 def test_berkowitz_path_triangular():
     # sizes above 10 switch determinant strategy; triangular law still exact
     rng = random.Random(14)
@@ -215,6 +282,26 @@ def test_berkowitz_path_triangular():
 
 # ---------------------------------------------------------------------------
 # ideal lattices
+
+
+@pytest.mark.parametrize("orders,ring", [((4,), R), ((2, 2), RBAR), ((6,), R)])
+def test_from_generators_equals_hermite_of_all_translates(orders, ring):
+    """The lattice grown one new generator at a time is the Hermite
+    basis of every translate of every generator.  A multiple and a sum
+    of earlier generators are members, so the skip is taken."""
+    rng = random.Random(f"translates:{orders}:{ring}")
+    g = FinAbGroup(orders)
+    dim = g.size - 1 if ring == RBAR else g.size
+    for _ in range(5):
+        gens = [random_element(rng, g, ring, bound=4) for _ in range(3)]
+        gens += [gens[0] * random_element(rng, g, ring, bound=2), gens[1] + gens[2]]
+        gens += [random_element(rng, g, ring, bound=4) * 2, zero(g, ring)]
+        rows = [x.translate(gi).coordinates() for x in gens for gi in g.elements()]
+        want = tuple(hermite_row_basis(rows, dim))
+        assert IdealLattice.from_generators(gens).basis == want
+        lat = IdealLattice.from_generators(gens, denominator=6)
+        ref = IdealLattice(g, ring, want, 6)
+        assert (lat.basis, lat.denominator) == (ref.basis, ref.denominator)
 
 
 def test_ideal_lattice_canonical():
