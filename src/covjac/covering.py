@@ -105,29 +105,65 @@ class VoltageGraph:
         return cls(base, group, volts)
 
 
+class _DeckPerms:
+    """Left translations of the fibres ``size`` apart, built one at a time
+    on first read and cached: ``perms[t][g * size + x]`` is
+    ``mul(t, g) * size + x``."""
+
+    __slots__ = ("group", "size", "_cache")
+
+    def __init__(self, group, size: int):
+        self.group = group
+        self.size = size
+        self._cache = {}
+
+    def __len__(self) -> int:
+        return self.group.size
+
+    def __getitem__(self, t: int) -> list:
+        if not 0 <= t < self.group.size:
+            raise IndexError("no group element with that index")
+        perm = self._cache.get(t)
+        if perm is None:
+            grp, size = self.group, self.size
+            perm = [grp.mul(t, g) * size + x
+                    for g in grp.elements() for x in range(size)]
+            self._cache[t] = perm
+        return perm
+
+
 @dataclass
 class DerivedCover:
     """Derived graph plus the left deck action as permutations.
 
     Derived vertex (g, v) sits at index g * nv + v and dart (g, d) at
     g * nd + d.  ``vertex_perms[t]`` and ``dart_perms[t]`` give the
-    image under left translation by the group element with index t.
+    image under left translation by the group element with index t;
+    each is built when first read.
     """
 
     voltage_graph: VoltageGraph
     graph: Graph
-    vertex_perms: list
-    dart_perms: list
+    vertex_perms: _DeckPerms
+    dart_perms: _DeckPerms
 
 
 def derived_graph(vg: VoltageGraph) -> DerivedCover:
     base = vg.base
     grp = vg.group
     nv, nd = base.vertex_count, len(base.darts)
+    # one translation list g -> g h per distinct dart voltage h
+    shift = {}
+    targets = []
+    for d in base.darts:
+        h = vg.dart_voltage(d.id)
+        if h not in shift:
+            shift[h] = [grp.mul(g, h) for g in grp.elements()]
+        targets.append((d, shift[h]))
     darts = []
     for g in grp.elements():
-        for d in base.darts:
-            h = grp.mul(g, vg.dart_voltage(d.id))
+        for d, gh in targets:
+            h = gh[g]
             darts.append(
                 Dart(
                     id=g * nd + d.id,
@@ -137,16 +173,7 @@ def derived_graph(vg: VoltageGraph) -> DerivedCover:
                 )
             )
     graph = Graph(grp.size * nv, darts)
-    vperms = []
-    dperms = []
-    for t in grp.elements():
-        vperms.append(
-            [grp.mul(t, g) * nv + v for g in grp.elements() for v in range(nv)]
-        )
-        dperms.append(
-            [grp.mul(t, g) * nd + d for g in grp.elements() for d in range(nd)]
-        )
-    return DerivedCover(vg, graph, vperms, dperms)
+    return DerivedCover(vg, graph, _DeckPerms(grp, nv), _DeckPerms(grp, nd))
 
 
 def spanning_tree_potentials(base: Graph):

@@ -49,25 +49,23 @@ class FinAbGroup:
             strides.append(acc)
             acc *= n
         self._strides = tuple(reversed(strides))
+        self._mul_table = None
+        self._inv_table = None
         if self.size <= _MUL_TABLE_LIMIT:
-            tbl = []
-            for i in range(self.size):
-                ei = self.exps(i)
-                row = []
-                for j in range(self.size):
-                    ej = self.exps(j)
-                    row.append(
-                        self.index(tuple((a + b) % n for a, b, n in zip(ei, ej, orders)))
-                    )
-                tbl.append(tuple(row))
-            self._mul_table = tuple(tbl)
             self._inv_table = tuple(
                 self.index(tuple((-a) % n for a, n in zip(self.exps(i), orders)))
                 for i in range(self.size)
             )
-        else:
-            self._mul_table = None
-            self._inv_table = None
+
+    def mul_table(self):
+        """The multiplication table, built on first use by a group-ring
+        product or translate; None above _MUL_TABLE_LIMIT elements.  Until
+        it exists, ``mul`` adds exponent vectors instead, so building a
+        derived graph never pays for the |G|^2 table."""
+        if self._mul_table is None and self.size <= _MUL_TABLE_LIMIT:
+            elems = range(self.size)
+            self._mul_table = tuple(tuple(self.mul(i, j) for j in elems) for i in elems)
+        return self._mul_table
 
     @property
     def num_factors(self) -> int:
@@ -87,10 +85,13 @@ class FinAbGroup:
         return tuple(out)
 
     def mul(self, i: int, j: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[i][j]
-        ei, ej = self.exps(i), self.exps(j)
-        return self.index(tuple((a + b) % n for a, b, n in zip(ei, ej, self.orders)))
+        table = self._mul_table
+        if table is not None:
+            return table[i][j]
+        out = 0
+        for n, s in zip(self.orders, self._strides):
+            out += (i // s + j // s) % n * s
+        return out
 
     def inv(self, i: int) -> int:
         if self._inv_table is not None:
@@ -221,7 +222,7 @@ class GroupRingElement:
         self._compat(other)
         g = self.group
         out = [0] * g.size
-        table = g._mul_table
+        table = g._mul_table or g.mul_table()
         oc = other.coeffs
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -280,9 +281,14 @@ class GroupRingElement:
         """Multiplication by the group element with index ``gidx``."""
         g = self.group
         out = [0] * g.size
+        table = g.mul_table()
+        if table is not None:
+            row = table[gidx]
+        else:
+            row = [g.mul(gidx, i) for i in g.elements()]
         for i, c in enumerate(self.coeffs):
             if c:
-                out[g.mul(i, gidx)] += c
+                out[row[i]] += c
         return GroupRingElement(g, out, self.ring)
 
     def augmentation(self) -> int:

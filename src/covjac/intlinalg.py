@@ -1,9 +1,11 @@
-"""Exact dense integer linear algebra.
+"""Exact integer linear algebra.
 
 Matrices are plain ``list[list[int]]`` of Python ints, so every routine is
-exact at arbitrary precision.  Everything is dense and sized for the
+exact at arbitrary precision.  Storage is dense and sized for the
 desk-scale matrices this package produces (a few hundred rows at most).
-Large determinants go through a CRT of word-size modular eliminations.
+Determinants above 60 x 60 go through a CRT of eliminations modulo
+primes just below 2**31, each confined to the band that a reverse
+Cuthill-McKee ordering gives the matrix.
 """
 
 from __future__ import annotations
@@ -325,51 +327,110 @@ def det_bareiss(a) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _is_small_prime(p: int) -> bool:
-    if p < 2:
+# Deterministic below this bound with bases 2, 3, 5, 7: it is the least
+# strong pseudoprime to all four (Pomerance-Selfridge-Wagstaff 1980).
+MILLER_RABIN_LIMIT = 3_215_031_751
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test on bases 2, 3, 5, 7.
+
+    Exact for n < MILLER_RABIN_LIMIT; larger n raise ValueError rather
+    than get an answer that could be wrong.
+    """
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(
+            f"{n} is beyond the deterministic primality range "
+            f"(below {MILLER_RABIN_LIMIT})"
+        )
+    if n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
-def _prime_stream():
-    p = (1 << 24) - 1
-    while p > 1 << 20:
-        if _is_small_prime(p):
-            yield p
-        p -= 2
+# Primes below 2**31 in descending order, grown on demand and kept for
+# later calls.  Residues stay below 2**31, so a product of two stays
+# below 2**62 and int64 elimination never overflows.
+_CRT_PRIMES: list[int] = []
 
 
-def _det_mod(arr: np.ndarray, p: int) -> int:
-    a = arr.copy()
-    n = a.shape[0]
-    det = 1
-    for k in range(n):
-        col = a[k:, k]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            return 0
-        piv = k + int(nz[0])
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            det = -det
-        pk = int(a[k, k])
-        det = det * pk % p
-        if k + 1 < n:
-            inv = pow(pk, -1, p)
-            factors = (a[k + 1 :, k] * inv) % p
-            a[k + 1 :, k:] = (a[k + 1 :, k:] - factors[:, None] * a[k, k:]) % p
-    return det % p
+def _crt_primes():
+    i = 0
+    while True:
+        if i == len(_CRT_PRIMES):
+            p = _CRT_PRIMES[-1] - 2 if _CRT_PRIMES else (1 << 31) - 1
+            while not is_prime(p):
+                p -= 2
+            _CRT_PRIMES.append(p)
+        yield _CRT_PRIMES[i]
+        i += 1
+
+
+def _rcm_order(pattern: np.ndarray) -> list[int]:
+    """Reverse Cuthill-McKee ordering of a symmetric boolean pattern.
+
+    Each connected component is searched breadth first from a vertex of
+    least degree, visiting neighbours by increasing degree; the whole
+    order is then reversed.
+    """
+    n = pattern.shape[0]
+    adj = [[w for w in np.flatnonzero(row).tolist() if w != v]
+           for v, row in enumerate(pattern)]
+    deg = [len(nb) for nb in adj]
+    placed = [False] * n
+    order: list[int] = []
+    for start in sorted(range(n), key=deg.__getitem__):
+        if placed[start]:
+            continue
+        placed[start] = True
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            nbrs = [w for w in adj[order[head]] if not placed[w]]
+            head += 1
+            nbrs.sort(key=deg.__getitem__)
+            for w in nbrs:
+                placed[w] = True
+            order.extend(nbrs)
+    return order[::-1]
 
 
 def det_crt(a) -> int:
-    """Exact determinant by CRT over word-size primes (entries < 2**31)."""
+    """Exact determinant by CRT over primes just below 2**31.
+
+    Rows and columns are permuted alike by a reverse Cuthill-McKee
+    ordering of the nonzero pattern of A + A^T, which leaves the
+    determinant unchanged and gathers a sparse matrix into a band with
+    lower and upper bandwidths kl and ku.  Modulo each prime, Gaussian
+    elimination with partial pivoting then works inside the band only:
+    the pivot is sought in the kl rows below the diagonal, and row swaps
+    widen the upper band to at most kl + ku (Golub-Van Loan, Matrix
+    Computations, 4.3.5).  Each update is cut to the rows down to the
+    last nonzero of the pivot column and the columns up to the last
+    nonzero of the pivot row; the rest of the window is zero there.  A
+    dense matrix has kl = ku = n - 1 and runs the same loop over the
+    whole trailing submatrix.  A column with no nonzero entry in the
+    window makes the residue 0, which is a valid residue.  Primes are
+    taken until their product exceeds twice the Hadamard bound.
+    Entries that do not fit in int64 go to Bareiss instead.
+    """
     n = len(a)
     if n == 0:
         return 1
@@ -380,12 +441,41 @@ def det_crt(a) -> int:
             return 0
         bound *= math.isqrt(s) + 1
     target = 2 * bound + 1
-    arr = np.array(a, dtype=np.int64)
-    if int(np.abs(arr).max(initial=0)) >= 1 << 31:
+    try:
+        arr = np.array(a, dtype=np.int64)
+    except OverflowError:
         return det_bareiss(a)
+    nonzero = arr != 0
+    perm = _rcm_order(nonzero | nonzero.T)
+    arr = arr[np.ix_(perm, perm)]
+    rows, cols = np.nonzero(arr)
+    kl = max(0, int((rows - cols).max()))
+    ku = max(0, int((cols - rows).max()))
     residue, modulus = 0, 1
-    for p in _prime_stream():
-        r = _det_mod(arr % p, p)
+    for p in _crt_primes():
+        w = arr % p
+        r = 1
+        for k in range(n):
+            below = min(n, k + kl + 1)
+            right = min(n, k + kl + ku + 1)
+            nz = np.flatnonzero(w[k:below, k])
+            if nz.size == 0:
+                r = 0
+                break
+            piv = k + int(nz[0])
+            if piv != k:
+                w[[k, piv], k:right] = w[[piv, k], k:right]
+                r = -r
+            pk = int(w[k, k])
+            r = r * pk % p
+            last = k + int(nz[-1]) + 1
+            if last > k + 1:
+                end = k + int(np.flatnonzero(w[k, k:right])[-1]) + 1
+                f = w[k + 1 : last, k] * pow(pk, -1, p) % p
+                w[k + 1 : last, k:end] = (
+                    w[k + 1 : last, k:end] - f[:, None] * w[k, k:end]
+                ) % p
+        r %= p
         if modulus == 1:
             residue, modulus = r, p
         else:

@@ -25,7 +25,7 @@ from .covering import (
     derived_graph,
     spanning_tree_potentials,
 )
-from .errors import DisconnectedGraphError
+from .errors import DisconnectedGraphError, ResourceLimitError
 from .fitting import Poly, det_generic
 from .graphs import (
     Graph,
@@ -35,19 +35,9 @@ from .graphs import (
     spanning_tree_count,
 )
 from .groupring import FinAbGroup
+from .intlinalg import is_prime
 
 VERTEX_CAP = 600
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def val_p(n: int, p: int) -> int:
@@ -70,7 +60,7 @@ class ZpVoltageGraph:
 
     def __init__(self, base: Graph, prime: int, voltages,
                  kida_group: FinAbGroup | None = None, kida_voltages=None):
-        if not _is_prime(prime):
+        if not is_prime(prime):
             raise ValueError(f"{prime} is not prime")
         voltages = tuple(int(a) for a in voltages)
         if len(voltages) != base.edge_count:
@@ -377,9 +367,15 @@ def verify_icnf(zvg: ZpVoltageGraph, n_max: int,
     the determinant series divided by T.  The series is the authority; a
     mismatch fails the report outright.  Fit instability is reported,
     not raised; a window of fewer than four layers (0..n_max) is
-    rejected as bad input."""
+    rejected as bad input, and one that the vertex cap cuts below four
+    layers as a resource limit."""
     if n_max < 3:
         raise ValueError("need at least four layers to fit: n_max must be at least 3")
+    if zvg.prime**3 * zvg.base.vertex_count > vertex_cap:
+        raise ResourceLimitError(
+            f"vertex cap {vertex_cap} leaves fewer than four layers: layer 3 "
+            f"would have {zvg.prime**3 * zvg.base.vertex_count} vertices"
+        )
     if zvg.kida_group is not None:
         zvg = zvg.without_finite_layer()
     series = z_power_series(zvg)

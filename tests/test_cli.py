@@ -197,6 +197,47 @@ def test_iwasawa_short_window_exits_2(tmp_path, capsys):
     assert out == ""
 
 
+def test_iwasawa_huge_prime_exits_2(tmp_path, capsys):
+    # 2^61 - 1 is prime but past the deterministic Miller-Rabin range;
+    # trial division once ran for minutes on it
+    path = write(tmp_path, "t.json", dict(TOWER, prime=2**61 - 1))
+    t0 = time.time()
+    code, out, err = run(capsys, ["iwasawa", path])
+    assert code == 2
+    assert out == ""
+    assert "deterministic primality range" in err
+    assert time.time() - t0 < 10
+
+
+def test_iwasawa_cap_truncated_window_exits_3(tmp_path, capsys):
+    # at p = 601 layer 1 already exceeds the 600-vertex cap: the tower is
+    # valid, but the cap leaves too few layers to fit
+    path = write(tmp_path, "t.json", dict(TOWER, prime=601))
+    t0 = time.time()
+    code, out, err = run(capsys, ["iwasawa", path, "--layers", "3"])
+    assert code == 3
+    assert out == ""
+    assert "resource cap" in err and "vertex cap 600" in err
+    assert time.time() - t0 < 10
+
+
+def test_kida_lifted_tower_486_vertices(tmp_path, capsys):
+    # the lifted p = 3 tower on a 2-vertex base reaches layers of 486
+    # vertices, so its layer determinants run through the banded CRT
+    tower = {"graph": THETA, "prime": 3, "voltages": [2, -9, 1],
+             "kida": {"orders": [3], "voltages": [[1], [1], [1]]}}
+    path = write(tmp_path, "k.json", tower)
+    t0 = time.time()
+    code, out, _ = run(capsys, ["kida", path])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["lambda_relation"] is True
+    assert rep["lifted"]["instance"]["graph"]["vertices"] == 6
+    # layers 0..4, the last with 6 * 81 = 486 vertices
+    assert len(rep["lifted"]["layer_valuations"]) == 5
+    assert time.time() - t0 < 60
+
+
 def test_kida_cli(tmp_path, capsys):
     path = write(tmp_path, "k.json", KIDA)
     code, out, err = run(capsys, ["kida", path])

@@ -24,7 +24,7 @@ from covjac.covering import (
 from covjac.errors import DisconnectedGraphError, RingMismatchError
 from covjac.fitting import module_fitting_ideal
 from covjac.graphs import build_graph, is_connected, jacobian, laplacian
-from covjac.groupring import R, RBAR, CayleyGroup, FinAbGroup
+from covjac.groupring import R, RBAR, CayleyGroup, FinAbGroup, GroupRingElement
 
 THETA = build_graph(2, [(0, 1), (1, 1), (0, 1)])
 
@@ -115,6 +115,31 @@ def test_connectivity_criterion_matches_bfs():
         assert connectivity_criterion(vg) == is_connected(derived_graph(vg).graph)
         agree += 1
     assert agree == 40
+
+
+def test_derived_graph_builds_no_group_table():
+    # layer-sized groups: the derived graph and its deck permutations go
+    # through group.mul without the |G|^2 table, which a group-ring
+    # product builds on first use
+    grp = FinAbGroup((4, 64))
+    vg = VoltageGraph(build_graph(1, [(0, 0), (0, 0)]), grp, (grp.index((1, 3)), 5))
+    cover = derived_graph(vg)
+    assert grp._mul_table is None
+    assert len(cover.vertex_perms) == grp.size
+    for t in (0, 77, grp.size - 1):
+        assert cover.vertex_perms[t] == [grp.mul(t, g) for g in grp.elements()]
+        assert cover.dart_perms[t][4 * 9 + 3] == grp.mul(t, 9) * 4 + 3
+    with pytest.raises(IndexError):
+        cover.vertex_perms[grp.size]
+    assert grp._mul_table is None
+    x = GroupRingElement(grp, [1, 2] + [0] * (grp.size - 2))
+    table = grp.mul_table()
+    assert table is not None and (x * x).coeffs[:3] == (1, 4, 4)
+    assert all(table[i][j] == grp.mul(i, j)
+               for i in (0, 5, 100) for j in grp.elements())
+    assert x.translate(77) == GroupRingElement(
+        grp, [1 if g == 77 else 2 if g == grp.mul(1, 77) else 0
+              for g in grp.elements()])
 
 
 def test_connectivity_nonabelian():
